@@ -23,6 +23,13 @@ Rules (docs/STATIC_ANALYSIS.md):
                   directly: the annotated wrappers in
                   src/common/thread_annotations.h are what make
                   -Wthread-safety able to see locking at all.
+  reference-runner
+                  RunJobPhysically (the sequential reference runner) may
+                  be called in src/ only inside src/mapreduce/: every
+                  executor path runs RunJobParallel at any width, and a
+                  second call site would regrow the per-width fork that
+                  bypasses cancellation, chaos and spilling. Tests and
+                  benches compare against it freely.
   todo-tag        TODO comments must carry an issue tag — TODO(#123) —
                   anywhere in src/, tests/, examples/, bench/, scripts/.
                   Untracked TODOs rot.
@@ -53,6 +60,8 @@ TODO_RULE_DIRS = ("src", "tests", "examples", "bench", "scripts")
 RANDOMNESS_EXEMPT = ("src/common/rng.h", "src/common/rng.cc")
 MUTEX_EXEMPT = ("src/common/thread_annotations.h",
                 "src/common/thread_annotations.cc")
+# The only directory whose code may call the reference runner.
+REFERENCE_RUNNER_HOME = "src/mapreduce/"
 # The linter's own rule messages and self-test fixtures spell out the
 # banned patterns literally.
 TODO_EXEMPT = ("scripts/lint.py",)
@@ -63,6 +72,7 @@ RE_RANDOMNESS = re.compile(
 RE_NAKED_MUTEX = re.compile(
     r"std::(?:mutex|condition_variable|lock_guard|unique_lock|scoped_lock)"
     r"(?![A-Za-z0-9_])")
+RE_REFERENCE_RUNNER = re.compile(r"(?<![A-Za-z0-9_])RunJobPhysically\s*\(")
 RE_TODO = re.compile(r"\bTODO\b")
 RE_TODO_TAGGED = re.compile(r"\bTODO\(#\d+\)")
 
@@ -142,6 +152,11 @@ def lint_tree(root):
                 findings.append((rel, lineno, "naked-mutex",
                                  "use the annotated Mutex/MutexLock/CondVar "
                                  "from src/common/thread_annotations.h"))
+            if (not rel.startswith(REFERENCE_RUNNER_HOME) and
+                    RE_REFERENCE_RUNNER.search(line)):
+                findings.append((rel, lineno, "reference-runner",
+                                 "RunJobPhysically is the test/bench "
+                                 "reference; run jobs with RunJobParallel"))
 
     seen = set()
     for rel in iter_files(root, TODO_RULE_DIRS,
@@ -195,6 +210,13 @@ SELF_TEST_CASES = [
      set()),
     ("src/common/rng.cc",
      'unsigned Seed() { return std::random_device{}(); }\n',  # exempt file
+     set()),
+    ("src/core/fork.cc",
+     '// RunJobPhysically(spec) in a comment is fine\n'
+     'auto r = RunJobPhysically(spec);\n',  # line 2: reference-runner
+     {(2, "reference-runner")}),
+    ("src/mapreduce/sim_cluster.cc",
+     'auto r = RunJobPhysically(spec);\n',  # the runner's home: allowed
      set()),
     ("tests/todo_test.cc",
      '// TODO: untagged\n'            # line 1: todo-tag

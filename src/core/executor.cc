@@ -140,7 +140,6 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
   const int64_t mem_budget = options_.mem_budget_bytes > 0
                                  ? options_.mem_budget_bytes
                                  : MemoryBudget::Global().limit_bytes();
-  const bool budgeted = mem_budget > 0;
   SpillDirectory spill_dir;
 
   // Fault accounting must survive *failed* executions too — a run that
@@ -151,8 +150,8 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
   // this plan-level accumulator (NOT read back from `result`, which the
   // success path moves out of before scope exit), and a scope guard
   // publishes it on every return path; by destructor time all job bodies
-  // have joined (the sequential loop and RunDag both complete before
-  // returning), so the read is race-free.
+  // have joined (RunDag completes every body before returning), so the
+  // read is race-free.
   Mutex plan_faults_mu;
   FaultReport plan_faults;
   struct FaultPublisher {
@@ -252,10 +251,6 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
     job_span.Arg("job", spec->name);
 
     const auto job_start = std::chrono::steady_clock::now();
-    // Chaos and memory budgets route even single-threaded plans through
-    // the parallel runner (byte-identical to the sequential reference on a
-    // 1-thread pool) — RunJobPhysically has neither an injection point nor
-    // the spill machinery.
     FaultReport job_faults;
     ParallelRunnerOptions popts;
     if (chaos) {
@@ -265,14 +260,9 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
     }
     popts.cancel = &plan_cancel;
     popts.fault_report = &job_faults;
-    if (budgeted) {
-      popts.mem_budget_bytes = mem_budget;
-      popts.spill_dir = &spill_dir;
-    }
-    StatusOr<PhysicalJobResult> phys =
-        (num_threads > 1 || chaos || budgeted)
-            ? RunJobParallel(*spec, pool, popts)
-            : RunJobPhysically(*spec);
+    popts.mem_budget_bytes = mem_budget;  // <= 0: spilling disarmed
+    popts.spill_dir = &spill_dir;
+    StatusOr<PhysicalJobResult> phys = RunJobParallel(*spec, pool, popts);
     // Keep the fault accounting even when the job failed: the runner
     // published everything it injected/retried into job_faults, and the
     // plan-level FaultPublisher reads it from this slot.
@@ -344,17 +334,9 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
   };
 
   const auto plan_start = std::chrono::steady_clock::now();
-  if (num_threads == 1) {
-    // Sequential reference path: plan order, byte-identical to the
-    // pre-runtime executor.
-    for (int i = 0; i < num_jobs; ++i) {
-      MRTHETA_RETURN_IF_ERROR(run_job(i));
-    }
-  } else {
-    // Jobs with disjoint deps overlap; map/reduce tasks within each job
-    // share the pool.
-    MRTHETA_RETURN_IF_ERROR(RunDag(deps, num_threads, run_job));
-  }
+  // Jobs with disjoint deps overlap; map/reduce tasks within each job share
+  // the pool. At one thread the DAG runs in plan order on this thread.
+  MRTHETA_RETURN_IF_ERROR(RunDag(deps, num_threads, run_job));
   result.measured_seconds = SecondsSince(plan_start);
   for (const JobExecution& exec : result.jobs) {
     result.sim_shuffle_bytes += exec.metrics.map_output_bytes_logical;

@@ -101,12 +101,12 @@ struct ExecutorOptions {
   /// candidate pairs run the generic nested loop (sorting tiny groups
   /// costs more than it saves). Exposed here so benches can sweep it.
   int64_t sort_kernel_min_pairs = kSortKernelMinPairs;
-  /// Threads of the in-process runtime (src/runtime). 1 = the sequential
-  /// reference path (RunJobPhysically, jobs in plan order); > 1 fans map
-  /// and reduce tasks over a thread pool and overlaps plan jobs with
-  /// disjoint dependencies via the DAG scheduler. Results — output rows,
-  /// row order, measurements, simulated makespan — are identical at every
-  /// thread count (see docs/RUNTIME.md).
+  /// Threads of the in-process runtime (src/runtime): the width of the
+  /// pool that map and reduce tasks fan out over, and of the DAG scheduler
+  /// that overlaps plan jobs with disjoint dependencies. 1 runs the same
+  /// path on the calling thread, jobs in plan order. Results — output
+  /// rows, row order, measurements, simulated makespan — are identical at
+  /// every thread count (see docs/RUNTIME.md).
   int num_threads = 1;
   /// Skew handling for Hilbert join jobs (docs/SKEW.md). kAuto (default)
   /// splits heavy-hitter regions only for jobs the planner flagged
@@ -118,11 +118,8 @@ struct ExecutorOptions {
   /// Deterministic chaos plan (docs/RUNTIME.md "Fault tolerance"). The
   /// default picks up $MRTHETA_FAULT_PLAN, so any workload can run under
   /// reproducible chaos with no code changes — the CI chaos job sets
-  /// exactly that. When enabled, every job routes through the
-  /// fault-tolerant parallel runner (on a 1-thread pool at num_threads ==
-  /// 1, which is byte-identical to the sequential reference); outputs and
-  /// simulated metrics are unchanged as long as no task exhausts its
-  /// retries.
+  /// exactly that. Outputs and simulated metrics are unchanged as long as
+  /// no task exhausts its retries.
   FaultPlan fault_plan = FaultPlan::FromEnvironment();
   /// Retry + straggler-speculation policies; consulted only under an
   /// enabled fault_plan.
@@ -144,9 +141,8 @@ struct ExecutorOptions {
   /// MemoryBudget's in-use bytes exceed it, shuffle state spills to a
   /// per-execution temp directory (removed on success, failure and
   /// cancellation alike). 0 inherits MemoryBudget::Global()'s limit (the
-  /// $MRTHETA_MEM_BUDGET environment knob); every budgeted plan routes
-  /// through the parallel runner, even at one thread. The budget is a
-  /// spill trigger, not a hard cap — outputs and simulated metrics are
+  /// $MRTHETA_MEM_BUDGET environment knob). The budget is a spill
+  /// trigger, not a hard cap — outputs and simulated metrics are
   /// byte-identical at any setting.
   int64_t mem_budget_bytes = 0;
 };
@@ -175,11 +171,11 @@ class Executor {
   /// Session entry point (ThetaEngine): like Execute, but map/reduce tasks
   /// run on the caller-owned `pool`, which may be shared across concurrent
   /// query executions. The effective thread count is
-  /// min(options().num_threads, pool.num_threads()); 1 selects the
-  /// sequential reference path, and a cap below the pool's width is
-  /// honoured exactly (a narrower per-call pool), so thread sweeps stay
-  /// meaningful on a wide session pool. Results are identical to Execute
-  /// at the same thread count (docs/RUNTIME.md determinism contract).
+  /// min(options().num_threads, pool.num_threads()); a cap below the
+  /// pool's width is honoured exactly (a narrower per-call pool), so
+  /// thread sweeps stay meaningful on a wide session pool. Results are
+  /// identical to Execute at the same thread count (docs/RUNTIME.md
+  /// determinism contract).
   StatusOr<ExecutionResult> ExecuteOn(ThreadPool& pool, const Query& query,
                                       const QueryPlan& plan,
                                       uint64_t seed = 42) const;

@@ -54,7 +54,7 @@ int HashPartition(int64_t key, int num_reduce_tasks);
 ///
 /// Map functions call Emit once per (key, record); runners call EndRow()
 /// after each input row (the combine/spill boundary) and stream the
-/// records back in emit order with ForEach(). All failures — page
+/// records back in emit order with Drain(). All failures — page
 /// allocation, reservation, spill I/O, a partitioner out of range — latch
 /// into status() and turn subsequent Emits into no-ops; runners surface
 /// the latched status as the task's Status (kResourceExhausted for memory,
@@ -128,9 +128,12 @@ class MapEmitter {
   void EndRow();
 
   /// Streams every record in emit order — the spilled prefix from disk,
-  /// then the in-memory pages. Returns the latched status (or a read
-  /// error) without invoking `fn` when the emitter is poisoned.
-  Status ForEach(const std::function<void(const MapOutputRecord&)>& fn);
+  /// then the in-memory pages — returning each page to the budget as soon
+  /// as its records are visited, so a shuffle walk holds little more than
+  /// one copy of the map output. Leaves the emitter Clear()ed, on error
+  /// too. Returns the latched status (or a read error) without invoking
+  /// `fn` when the emitter is poisoned.
+  Status Drain(const std::function<void(const MapOutputRecord&)>& fn);
 
   /// Records emitted (post-combine), spilled or resident.
   int64_t size() const { return size_; }
@@ -156,6 +159,7 @@ class MapEmitter {
   bool AddPage();       // latches on failure
   void ApplyCombine();  // combine_ over [row_mark_, size_)
   void SpillFullPages();
+  Status Walk(const std::function<void(const MapOutputRecord&)>& fn);
 
   std::vector<MemoryBudget::PagePtr> pages_;
   /// Records in pages_.back(); every earlier page is full. 0 iff empty.

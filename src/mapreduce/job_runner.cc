@@ -144,7 +144,9 @@ StatusOr<PhysicalJobResult> RunJobPhysically(const MapReduceJobSpec& spec) {
   std::vector<std::vector<MapOutputRecord>> task_records(n);
   std::vector<double> task_bytes(n, 0.0);
   double map_out_bytes = 0.0;
-  Status walk = emitter.ForEach([&](const MapOutputRecord& rec) {
+  result.spill_bytes = emitter.spilled_bytes();
+  result.spill_files = emitter.spill_files();
+  Status walk = emitter.Drain([&](const MapOutputRecord& rec) {
     const double scaled_bytes =
         static_cast<double>(rec.bytes) * spec.inputs[rec.tag].scale;
     task_bytes[rec.target] += scaled_bytes;
@@ -152,9 +154,6 @@ StatusOr<PhysicalJobResult> RunJobPhysically(const MapReduceJobSpec& spec) {
     task_records[rec.target].push_back(rec);
   });
   if (!walk.ok()) return WrapTaskError("shuffle walk failed", spec, walk);
-  result.spill_bytes = emitter.spilled_bytes();
-  result.spill_files = emitter.spill_files();
-  emitter.Clear();
   m.map_output_bytes_logical = static_cast<int64_t>(map_out_bytes);
   m.reduce_input_bytes_logical.resize(n);
   for (int t = 0; t < n; ++t) {

@@ -29,8 +29,11 @@ struct PhysicalJobResult {
 /// (tag, row) for stability), invoke reduce once per key group, concatenate
 /// reduce outputs in task order.
 ///
-/// This runner never spills: budgeted executions route through the
-/// parallel runner (even at one thread), which owns the spill machinery.
+/// The reference runner: the executor never calls it (it runs every job
+/// through RunJobParallel, src/runtime/parallel_job_runner.h, at every
+/// width). Tests and bench_skew use it as the simple independent oracle
+/// the parallel runner must match byte for byte, and SimCluster::RunJob
+/// runs on it. It has no cancellation, fault injection or spilling.
 StatusOr<PhysicalJobResult> RunJobPhysically(const MapReduceJobSpec& spec);
 
 /// \brief Runs one reduce task: sorts `records` in place by (key, tag,
@@ -49,7 +52,7 @@ StatusOr<PhysicalJobResult> RunJobPhysically(const MapReduceJobSpec& spec);
 /// fault-tolerant runner can re-execute a failed task against the same
 /// record vector and commit only the successful attempt.
 ///
-/// Shared by the sequential runner and the parallel runner
+/// Shared by the reference runner and the parallel runner
 /// (src/runtime/parallel_job_runner.cc) — one implementation is what keeps
 /// their outputs byte-identical (docs/RUNTIME.md determinism contract).
 StatusOr<double> RunReduceTask(const MapReduceJobSpec& spec,

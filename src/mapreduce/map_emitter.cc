@@ -175,7 +175,14 @@ void MapEmitter::SpillFullPages() {
   if (pages_.empty()) last_page_records_ = 0;
 }
 
-Status MapEmitter::ForEach(
+Status MapEmitter::Drain(
+    const std::function<void(const MapOutputRecord&)>& fn) {
+  Status status = Walk(fn);
+  Clear();
+  return status;
+}
+
+Status MapEmitter::Walk(
     const std::function<void(const MapOutputRecord&)>& fn) {
   if (!status_.ok()) return status_;
   if (spill_file_.has_value()) {
@@ -199,6 +206,7 @@ Status MapEmitter::ForEach(
         p + 1 == pages_.size() ? last_page_records_ : kRecordsPerPage;
     const MapOutputRecord* recs = PageRecords(pages_[p]);
     for (int64_t i = 0; i < count; ++i) fn(recs[i]);
+    MemoryBudget::Global().ReleasePage(std::move(pages_[p]));
   }
   return Status::OK();
 }

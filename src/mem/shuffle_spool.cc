@@ -34,6 +34,11 @@ bool RecordLess(const MapOutputRecord& a, const MapOutputRecord& b) {
 
 constexpr int64_t kRecordBytes = static_cast<int64_t>(sizeof(MapOutputRecord));
 
+// Buckets grow in chunks of this many records (2.5 KiB), so a bucket's
+// unused capacity stays under one chunk.
+constexpr int64_t kChunkRecords = 64;
+constexpr int64_t kChunkBytes = kChunkRecords * kRecordBytes;
+
 }  // namespace
 
 ShuffleSpool::ShuffleSpool(int num_tasks, int64_t spill_limit_bytes,
@@ -48,22 +53,29 @@ ShuffleSpool::~ShuffleSpool() {
 }
 
 void ShuffleSpool::ChargedPush(Bucket& bucket, const MapOutputRecord& rec) {
-  if (bucket.records.size() == bucket.records.capacity()) {
-    const size_t new_cap =
-        std::max<size_t>(64, bucket.records.capacity() * 2);
-    bucket.records.reserve(new_cap);  // may throw; caller catches
-    const int64_t now_charged =
-        static_cast<int64_t>(bucket.records.capacity()) * kRecordBytes;
-    MemoryBudget::Global().Charge(now_charged - bucket.charged_bytes);
-    bucket.charged_bytes = now_charged;
+  if (bucket.size % kChunkRecords == 0) {  // no chunk yet, or the last is full
+    std::vector<MapOutputRecord> chunk;
+    chunk.reserve(kChunkRecords);  // may throw; caller catches
+    bucket.chunks.push_back(std::move(chunk));
+    MemoryBudget::Global().Charge(kChunkBytes);
   }
-  bucket.records.push_back(rec);
+  bucket.chunks.back().push_back(rec);
+  ++bucket.size;
 }
 
 void ShuffleSpool::UnchargeBucket(Bucket& bucket) {
-  bucket.records = std::vector<MapOutputRecord>();
-  MemoryBudget::Global().Uncharge(bucket.charged_bytes);
-  bucket.charged_bytes = 0;
+  MemoryBudget::Global().Uncharge(
+      static_cast<int64_t>(bucket.chunks.size()) * kChunkBytes);
+  bucket.chunks = std::vector<std::vector<MapOutputRecord>>();
+  bucket.size = 0;
+}
+
+void ShuffleSpool::Gather(const Bucket& bucket,
+                          std::vector<MapOutputRecord>& out) {
+  out.reserve(out.size() + static_cast<size_t>(bucket.size));
+  for (const std::vector<MapOutputRecord>& chunk : bucket.chunks) {
+    out.insert(out.end(), chunk.begin(), chunk.end());
+  }
 }
 
 void ShuffleSpool::Append(int task, const MapOutputRecord& rec) {
@@ -94,13 +106,8 @@ void ShuffleSpool::MaybeSpill() {
     // per run and keeps run counts low for the merge.
     Bucket* victim = nullptr;
     for (Bucket& bucket : buckets_) {
-      if (bucket.records.size() < static_cast<size_t>(kMinSpillRecords)) {
-        continue;
-      }
-      if (victim == nullptr ||
-          bucket.records.size() > victim->records.size()) {
-        victim = &bucket;
-      }
+      if (bucket.size < kMinSpillRecords) continue;
+      if (victim == nullptr || bucket.size > victim->size) victim = &bucket;
     }
     // Everything resident is tiny; the pressure comes from other holders
     // (map emitters, reduce materializations) that spill on their own.
@@ -117,14 +124,23 @@ Status ShuffleSpool::SpillBucket(Bucket& bucket) {
     spill_file_ = *std::move(file);
   }
   TraceSpan span("spill-write", "mem");
-  // Sorting before the write is what makes the segment a mergeable run —
-  // and what lets the reduce side skip its own sort entirely.
-  std::sort(bucket.records.begin(), bucket.records.end(), RecordLess);
+  // The run is sorted and written from one contiguous copy of the bucket,
+  // charged while it lives. Sorting before the write is what makes the
+  // segment a mergeable run — and what lets the reduce side skip its own
+  // sort entirely.
+  std::vector<MapOutputRecord> records;
+  try {
+    Gather(bucket, records);
+  } catch (const std::bad_alloc&) {
+    return Status::ResourceExhausted("shuffle spill gather failed");
+  }
+  ScopedCharge records_charge(bucket.size * kRecordBytes);
+  std::sort(records.begin(), records.end(), RecordLess);
   Run run;
   run.offset_bytes = spill_file_->bytes_written();
-  run.count = static_cast<int64_t>(bucket.records.size());
+  run.count = bucket.size;
   const int64_t bytes = run.count * kRecordBytes;
-  MRTHETA_RETURN_IF_ERROR(spill_file_->Append(bucket.records.data(), bytes));
+  MRTHETA_RETURN_IF_ERROR(spill_file_->Append(records.data(), bytes));
   try {
     bucket.runs.push_back(run);
   } catch (const std::bad_alloc&) {
@@ -165,12 +181,12 @@ StatusOr<ShuffleSpool::MaterializedTask> ShuffleSpool::MaterializeTask(
     try {
       // A copy, not a move — a retried task attempt re-materializes the
       // same records.
-      resident = bucket.records;
+      Gather(bucket, resident);
       runs = bucket.runs;
     } catch (const std::bad_alloc&) {
       return Status::ResourceExhausted(
           "materializing shuffle task " + std::to_string(task) + " (" +
-          std::to_string(bucket.records.size()) + " resident records, " +
+          std::to_string(bucket.size) + " resident records, " +
           std::to_string(bucket.runs.size()) + " spilled runs) failed");
     }
   }

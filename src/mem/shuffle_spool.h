@@ -35,11 +35,14 @@ namespace mrtheta {
 /// the reduced sequence; outputs are byte-identical with or without
 /// spilling.
 ///
-/// Bucket memory is tracked against MemoryBudget::Global() (exact vector
+/// Bucket memory is tracked against MemoryBudget::Global() (exact chunk
 /// capacities, not pages: shuffle partitions are many and small, and page
-/// rounding would defeat tight budgets). The spool's spill file is removed
-/// by its destructor; the per-execution SpillDirectory sweeps whatever an
-/// abandoned process state leaves behind.
+/// rounding would defeat tight budgets). A bucket grows in small fixed
+/// chunks rather than by doubling one vector, so its slack stays under one
+/// chunk and growing it never copies records: while the map output drains
+/// into the spool, the two together hold little more than one copy of it.
+/// The spool's spill file is removed by its destructor; the per-execution
+/// SpillDirectory sweeps whatever an abandoned process state leaves behind.
 class ShuffleSpool {
  public:
   /// `dir` is not owned and may be null (spilling disarmed);
@@ -95,10 +98,15 @@ class ShuffleSpool {
     int64_t count = 0;
   };
   struct Bucket {
-    std::vector<MapOutputRecord> records;  ///< capacity charged to budget
-    int64_t charged_bytes = 0;
+    /// Resident records in append order; every chunk's (fixed) capacity
+    /// is charged to the budget.
+    std::vector<std::vector<MapOutputRecord>> chunks;
+    int64_t size = 0;  ///< resident records, across all chunks
     std::vector<Run> runs;
   };
+
+  /// Copies `bucket`'s resident records, in append order, into `out`.
+  static void Gather(const Bucket& bucket, std::vector<MapOutputRecord>& out);
 
   void ChargedPush(Bucket& bucket, const MapOutputRecord& rec)
       MRTHETA_REQUIRES(partition_mu_);

@@ -96,6 +96,13 @@ Status Relation::AppendRows(const Relation& other) {
   return Status::OK();
 }
 
+void Relation::Reserve(int64_t rows) {
+  for (ColumnData& col : cols_) {
+    std::visit([&](auto& dst) { dst.reserve(static_cast<size_t>(rows)); },
+               col);
+  }
+}
+
 Status Relation::SetCell(int64_t row, int col, const Value& v) {
   if (col < 0 || col >= schema_.num_columns()) {
     return Status::OutOfRange("SetCell column out of range");

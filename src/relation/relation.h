@@ -74,6 +74,10 @@ class Relation {
   /// Column count and types must match this relation's schema.
   Status AppendRows(const Relation& other);
 
+  /// Reserves column capacity for `rows` rows in total, so a known run of
+  /// appends grows each column once. Content (and generation()) unchanged.
+  void Reserve(int64_t rows);
+
   /// Overwrites one cell in place; the value's type must match the column
   /// (row/col bounds and type checked). In-place mutation bumps
   /// generation() so cached derived state (e.g. a session's statistics)

@@ -99,7 +99,7 @@ Status RunDag(const std::vector<std::vector<int>>& deps, int max_concurrency,
   {
     // No other thread exists yet, but the fields are guarded so the setup
     // takes the (uncontended) lock; it also publishes the initial state to
-    // the workers spawned below.
+    // the helpers spawned below.
     MutexLock lock(&state.mu);
     state.pending_deps.assign(n, 0);
     state.dependents.resize(n);
@@ -129,35 +129,17 @@ Status RunDag(const std::vector<std::vector<int>>& deps, int max_concurrency,
     if (initially_ready == 0) {
       return Status::FailedPrecondition("dag has no dependency-free node");
     }
-
-    if (threads == 1) {
-      // Sequential fast path: pop lowest-index ready nodes in order.
-      while (!state.ready.empty()) {
-        const int node = state.ready.top();
-        state.ready.pop();
-        {
-          TraceSpan span("dag-node", "scheduler");
-          if (span.enabled()) span.Arg("node", static_cast<int64_t>(node));
-          MRTHETA_RETURN_IF_ERROR(body(node));
-        }
-        --state.remaining;
-        for (int dep : state.dependents[node]) {
-          if (--state.pending_deps[dep] == 0) state.ready.push(dep);
-        }
-      }
-      if (state.remaining != 0) {
-        return Status::FailedPrecondition("dag contains a dependency cycle");
-      }
-      return Status::OK();
-    }
   }
 
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&] { WorkerLoop(state, body); });
+  // The calling thread is one of the `threads` workers, so width 1 spawns
+  // no thread and runs ready nodes lowest-index first on the caller.
+  std::vector<std::thread> helpers;
+  helpers.reserve(threads - 1);
+  for (int t = 1; t < threads; ++t) {
+    helpers.emplace_back([&] { WorkerLoop(state, body); });
   }
-  for (std::thread& t : workers) t.join();
+  WorkerLoop(state, body);
+  for (std::thread& t : helpers) t.join();
 
   MutexLock lock(&state.mu);
   if (state.error_node >= 0) return state.error;

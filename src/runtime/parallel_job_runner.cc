@@ -431,15 +431,15 @@ StatusOr<PhysicalJobResult> RunJobParallel(
   // (two additions, one push) is trivial next to map/reduce compute.
   TraceSpan shuffle_phase("shuffle-merge", "runtime");
   if (shuffle_phase.enabled()) shuffle_phase.Arg("job", spec.name);
-  ShuffleSpool spool(n, budgeted ? options.mem_budget_bytes : 0,
-                     budgeted ? options.spill_dir : nullptr);
+  ShuffleSpool spool(n, options.mem_budget_bytes, options.spill_dir);
   std::vector<double> task_bytes(n, 0.0);
   double map_out_bytes = 0.0;
   for (MapSplit& split : splits) {
     const double scale = spec.inputs[split.tag].scale;
     result.spill_bytes += split.emitter.spilled_bytes();
     result.spill_files += split.emitter.spill_files();
-    Status walk = split.emitter.ForEach([&](const MapOutputRecord& rec) {
+    // Draining frees each map page as soon as the spool holds its records.
+    Status walk = split.emitter.Drain([&](const MapOutputRecord& rec) {
       const double scaled_bytes = static_cast<double>(rec.bytes) * scale;
       task_bytes[rec.target] += scaled_bytes;
       map_out_bytes += scaled_bytes;
@@ -452,9 +452,6 @@ StatusOr<PhysicalJobResult> RunJobParallel(
                                                spec.name +
                                                "': " + walk.message());
     }
-    // The split's records are merged into the spool; release its buffers
-    // (and any spill file it made) eagerly.
-    split.emitter.Clear();
   }
   {
     Status finish = spool.FinishWrites();
@@ -531,13 +528,21 @@ StatusOr<PhysicalJobResult> RunJobParallel(
   }
 
   // Concatenate task outputs in task order — the sequential runner appends
-  // reduce output to one relation in exactly this order.
+  // reduce output to one relation in exactly this order. Sizing the output
+  // once and freeing each task output right after its copy keeps the
+  // concat's footprint at two copies of the result at most.
+  int64_t output_rows = 0;
+  for (const Relation& task_output : task_outputs) {
+    output_rows += task_output.num_rows();
+  }
+  result.output->Reserve(output_rows);
   for (Relation& task_output : task_outputs) {
     Status append = result.output->AppendRows(task_output);
     if (!append.ok()) {
       publish_report();
       return append;
     }
+    task_output = Relation();
   }
 
   // ---- Output accounting (identical to the sequential runner) ----

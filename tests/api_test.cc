@@ -17,6 +17,7 @@
 #include "src/core/planner.h"
 #include "src/cost/calibration.h"
 #include "src/exec/naive_join.h"
+#include "src/mem/memory_budget.h"
 #include "src/workload/flights.h"
 #include "src/workload/mobile.h"
 #include "src/workload/tpch.h"
@@ -719,6 +720,46 @@ TEST(EngineMetricsTest, FaultCountersSurviveCancelledExecution) {
   EXPECT_EQ(metrics.failed_executions, 1);
   EXPECT_GT(metrics.injected_faults, 0);
   EXPECT_GT(metrics.wasted_task_seconds, 0.0);
+}
+
+// CancelInflight stops an in-flight Submit at its next task boundary at
+// every width, including a 1-thread engine with no chaos plan: the
+// execution path is the same one the wider engines take.
+TEST(EngineMetricsTest, CancelInflightStopsOneThreadSubmit) {
+  EngineOptions options;
+  options.executor.num_threads = 1;
+  options.executor.fault_plan = FaultPlan{};  // env-proof: no chaos
+  ThetaEngine engine(options);
+  MobileDataOptions data;
+  data.physical_rows = 1500;  // ~0.45 s of Hilbert reduce work in Release
+  data.logical_bytes = 2 * kGiB;
+  const auto query = BuildMobileQuery(1, data);
+  ASSERT_TRUE(query.ok());
+  StatusOr<PreparedQuery> prepared = engine.Prepare(*query);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+
+  // Cancel once the plan's first job is known to be running: its map
+  // output pages show up in the memory ledger from the first emit and
+  // stay there until the last reduce task commits. Polling that ledger
+  // instead of sleeping keeps the cancel mid-job on a host of any speed.
+  MemoryBudget& budget = MemoryBudget::Global();
+  const int64_t idle_bytes = budget.in_use_bytes();
+  auto future = prepared->Submit();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (budget.in_use_bytes() <= idle_bytes &&
+         future.wait_for(std::chrono::milliseconds(1)) ==
+             std::future_status::timeout &&
+         std::chrono::steady_clock::now() < deadline) {
+  }
+  engine.CancelInflight();
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(60)),
+            std::future_status::ready);
+  const auto result = future.get();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
+      << result.status().ToString();
+  EXPECT_EQ(engine.metrics().failed_executions, 1);
 }
 
 // ---- QueryBuilder ----

@@ -107,11 +107,16 @@ TEST(DagSchedulerTest, EveryNodeRunsAfterItsDeps) {
 TEST(DagSchedulerTest, SequentialOrderIsLowestIndexFirst) {
   const std::vector<std::vector<int>> deps = {{}, {}, {0}, {}, {2}};
   std::vector<int> order;
+  std::vector<std::thread::id> ran_on;
   ASSERT_TRUE(RunDag(deps, 1, [&](int node) {
                 order.push_back(node);
+                ran_on.push_back(std::this_thread::get_id());
                 return Status::OK();
               }).ok());
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  // Width 1 spawns no thread: every body runs on the caller.
+  EXPECT_EQ(ran_on, std::vector<std::thread::id>(deps.size(),
+                                                 std::this_thread::get_id()));
 }
 
 TEST(DagSchedulerTest, ReportsLowestIndexFailureAndStopsScheduling) {
@@ -527,18 +532,25 @@ class RuntimeExecutorTest : public ::testing::Test {
   CostModelParams params_;
 };
 
-TEST_F(RuntimeExecutorTest, ParallelPlanExecutionMatchesSequential) {
+TEST_F(RuntimeExecutorTest, PlanRowsMatchOracleAndAreIdenticalAtEveryWidth) {
   const Query q = ChainQuery();
   // "ours" gives a single-MRJ plan; hive-style gives a cascade whose
   // merge-free prefix jobs have disjoint deps — the DAG-overlap case.
   Planner planner(cluster_.get(), params_);
   std::vector<StatusOr<QueryPlan>> plans = {planner.Plan(q),
                                             PlanHiveStyle(q, *cluster_)};
+  const auto oracle = NaiveMultiwayJoin(q.relations(), {0, 1, 2},
+                                        q.conditions());
+  ASSERT_TRUE(oracle.ok());
+  ASSERT_GT(oracle->num_rows(), 0);
   for (const auto& plan : plans) {
     ASSERT_TRUE(plan.ok());
-    Executor sequential(cluster_.get());
-    const auto ref = sequential.Execute(q, *plan);
+    Executor one_thread(cluster_.get());
+    const auto ref = one_thread.Execute(q, *plan);
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    // The width-1 rows are checked against the runner-independent oracle
+    // (as a multiset); every wider run must then match them exactly.
+    EXPECT_TRUE(IdenticalRelations(SortedByRows(*ref->result_ids), *oracle));
     for (int threads : {2, 4, 8}) {
       ExecutorOptions options;
       options.num_threads = threads;
@@ -568,15 +580,12 @@ TEST_F(RuntimeExecutorTest, ParallelPlanExecutionMatchesSequential) {
 TEST_F(RuntimeExecutorTest, BudgetedExecutionMatchesUnbudgeted) {
   // ExecutorOptions::mem_budget_bytes = 1 puts every job of the plan under
   // maximal spill pressure; simulated accounting and rows must not move.
-  // At one thread this also exercises the routing rule: budgeted plans run
-  // through the parallel runner (the only spill-capable one) even when
-  // num_threads == 1.
   const Query q = ChainQuery();
   Planner planner(cluster_.get(), params_);
   const auto plan = planner.Plan(q);
   ASSERT_TRUE(plan.ok());
-  Executor sequential(cluster_.get());
-  const auto ref = sequential.Execute(q, *plan);
+  Executor unbudgeted(cluster_.get());
+  const auto ref = unbudgeted.Execute(q, *plan);
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
   // (No spill assertion on the reference: under a $MRTHETA_MEM_BUDGET CI
   // leg even the default-options executor is budgeted and may spill.)
